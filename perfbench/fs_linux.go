@@ -1,0 +1,31 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding path, so WAL numbers are read
+// against the storage that produced them.
+func fsType(path string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(path, &st); err != nil {
+		return "unknown"
+	}
+	switch uint64(st.Type) {
+	case 0xef53:
+		return "ext4"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683e:
+		return "btrfs"
+	case 0x01021994:
+		return "tmpfs"
+	case 0x794c7630:
+		return "overlayfs"
+	case 0x2fc12fc1:
+		return "zfs"
+	default:
+		return fmt.Sprintf("0x%x", uint64(st.Type))
+	}
+}
