@@ -31,8 +31,8 @@ audit:
 analyze-smoke:
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=5s -run '^$$' ./internal/analysis
 
-# The full schedule-exploration campaign: 1000+ seeds across the fifteen
-# corpus programs (15 programs x 84 seeds = 1260 runs), light faults,
+# The full schedule-exploration campaign: 1000+ seeds across the sixteen
+# corpus programs (16 programs x 84 seeds = 1344 runs), light faults,
 # serializability-checked, with seeds split between the reactive wakeup
 # path and its full re-query ablation. Any failure prints a replayable
 # seed.
@@ -86,7 +86,7 @@ bench-gate:
 # The refiner's admission trajectory: run E15 (fast-path admission % under
 # view restriction, refined vs unrefined) and record it into
 # BENCH_<shortrev>.json so committed runs chart how much of the workload
-# the interprocedural analysis keeps on the key-latch path.
+# the interprocedural analysis keeps on the planned commit path.
 analyze-bench:
 	$(GO) run ./cmd/sdlbench -quick -json -rev $$(git rev-parse --short HEAD) -run E15
 

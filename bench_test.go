@@ -123,25 +123,22 @@ func BenchmarkE12ShardScaling(b *testing.B) {
 }
 
 // BenchmarkE13CommutingUpserts runs the disjoint-key upsert workload once
-// per iteration, with the commutativity-aware commit path (key latches +
-// group commit) on or off at each shard count. Compare commute=true against
-// commute=false at the same shard count for the commit-path speedup;
-// divergence requires hardware parallelism (flat at GOMAXPROCS=1).
+// per iteration at each shard count. Compare shards=8 against shards=1 for
+// the parallelism planned commits gain from locking only their key's
+// shard; divergence requires hardware parallelism (flat at GOMAXPROCS=1).
 func BenchmarkE13CommutingUpserts(b *testing.B) {
 	for _, shards := range []int{1, 8} {
-		for _, commuting := range []bool{false, true} {
-			b.Run(fmt.Sprintf("shards=%d/commute=%v", shards, commuting), func(b *testing.B) {
-				benchExperiment(b, func(context.Context) error {
-					return bench.CommutingUpserts(shards, commuting)
-				})
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchExperiment(b, func(context.Context) error {
+				return bench.CommutingUpserts(shards)
 			})
-		}
+		})
 	}
 }
 
 // BenchmarkE15RefinedAdmission runs the view-restricted disjoint-key upsert
 // workload once per iteration, with the footprint class the interprocedural
-// refiner proves (refined=true, the key-latch path) or the unrefined
+// refiner proves (refined=true, planned commits) or the unrefined
 // default (refined=false, every commit under the full lock set). The
 // admission split is deterministic; the throughput gap needs hardware
 // parallelism, like E13.

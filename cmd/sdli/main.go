@@ -427,8 +427,8 @@ func printMetrics(snap metrics.Snapshot) {
 			kind, c.Attempts, c.Commits, c.Retries, c.Blocks, lat.Mean()/1e3)
 	}
 	fmt.Printf("  footprint     mean %.2f shards/update\n", snap.Footprint.Mean())
-	fmt.Printf("  commit paths  %d key-latched, %d shard fallbacks, %d coarse\n",
-		snap.KeyCommits, snap.ShardFallbacks, snap.CoarseCommits)
+	fmt.Printf("  commit paths  %d planned, %d coarse\n",
+		snap.ShardFallbacks, snap.CoarseCommits)
 	for _, class := range []string{"ground", "ground-keys", "wildcard", "unknown"} {
 		if n := snap.FootprintAdmissions[class]; n > 0 {
 			fmt.Printf("  admit %-8s %d executions, %d planned\n",

@@ -1,14 +1,14 @@
 // lint.go implements the lock-discipline analysis behind sdllint. It is
 // deliberately stdlib-only (go/parser + go/ast, no type checker): lock
 // identity is recovered from selector-chain *text*, which is stable
-// because the runtime names its synchronization fields uniformly (see the
-// lock-class table below). The analysis is intraprocedural and
+// because the runtime names its synchronization fields uniformly (see
+// isMu below). The analysis is intraprocedural and
 // flow-ordered: each function body is walked in statement order with a
-// held-lock multiset, function literals are independent scopes, loop
-// bodies are processed once, and defers fire at scope exit. Where a
-// function relies on its caller's locks, a machine-readable annotation in
-// its doc comment (`lint:holds mu latch`) seeds the held set; the
-// annotation is itself documentation that the linter keeps honest.
+// held-lock count, function literals are independent scopes, loop bodies
+// are processed once, and defers fire at scope exit. Where a function
+// relies on its caller's locks, a machine-readable annotation in its doc
+// comment (`lint:holds mu`) seeds the held state; the annotation is itself
+// documentation that the linter keeps honest.
 package main
 
 import (
@@ -22,36 +22,10 @@ import (
 	"strings"
 )
 
-// Lock classes, in the runtime's documented acquisition order (see the
-// shard doc comment in internal/dataspace/store.go): a commit takes its
-// key latches first, then intent locks, then shard mu; the group-commit
-// queue mutex is a leaf — nothing may be acquired while it is held.
-const (
-	classLatch  = 1 // shard.latches[i] — striped per-key lock table
-	classIntent = 2 // shard.intent — commit-discipline separator
-	classMu     = 3 // shard.mu — shard data lock (also registry mutexes)
-	classQueue  = 4 // shard.queue.mu — group-commit queue, leaf
-)
-
-var classNames = map[int]string{
-	classLatch:  "latch",
-	classIntent: "intent",
-	classMu:     "mu",
-	classQueue:  "queue.mu",
-}
-
-var classByName = map[string]int{
-	"latch":    classLatch,
-	"intent":   classIntent,
-	"mu":       classMu,
-	"queue":    classQueue,
-	"queue.mu": classQueue,
-}
-
 // Finding is one lock-discipline violation.
 type Finding struct {
 	Pos  token.Position
-	Rule string // lock-order, leaf-lock, unlocked-mutation, rlock-mutation, unlocked-append, rlock-append, unlocked-index
+	Rule string // unlocked-mutation, rlock-mutation, unlocked-append, rlock-append, unlocked-index
 	Msg  string
 }
 
@@ -116,12 +90,12 @@ func lintFile(fset *token.FileSet, file *ast.File) []Finding {
 	return out
 }
 
-// scope is the per-function analysis state. held maps lock class to
+// scope is the per-function analysis state. held is the shard mu's
 // acquisition count plus exclusivity of the most recent acquisition.
 type scope struct {
 	fset     *token.FileSet
 	name     string
-	held     map[int]*heldLock
+	held     heldLock
 	deferred []*ast.CallExpr
 	pending  []*ast.FuncLit // literals to analyze as fresh scopes
 	findings []Finding
@@ -133,15 +107,15 @@ type heldLock struct {
 }
 
 func newScope(fset *token.FileSet, name string) *scope {
-	return &scope{fset: fset, name: name, held: make(map[int]*heldLock)}
+	return &scope{fset: fset, name: name}
 }
 
-// seedAnnotation reads a `lint:holds <class ...>` line from the doc
-// comment and marks those classes as exclusively held on entry — the
-// contract that the function's callers hold them. The special name `rmu`
-// seeds a read-held mu: enough for the operations that only need *some*
-// shard lock (secondary-index bucket builds), but not for exclusive
-// mutations.
+// seedAnnotation reads a `lint:holds <name ...>` line from the doc
+// comment: `mu` marks the shard mu as exclusively held on entry — the
+// contract that the function's callers hold it — and `rmu` seeds a
+// read-held mu: enough for the operations that only need *some* shard
+// lock (secondary-index bucket builds), but not for exclusive mutations.
+// Other names are ignored.
 func (sc *scope) seedAnnotation(doc *ast.CommentGroup) {
 	if doc == nil {
 		return
@@ -154,12 +128,11 @@ func (sc *scope) seedAnnotation(doc *ast.CommentGroup) {
 		for _, f := range strings.FieldsFunc(strings.TrimPrefix(text, "lint:holds"), func(r rune) bool {
 			return r == ' ' || r == ',' || r == '\t'
 		}) {
-			if f == "rmu" {
-				sc.held[classMu] = &heldLock{n: 1, excl: false}
-				continue
-			}
-			if class, ok := classByName[f]; ok {
-				sc.held[class] = &heldLock{n: 1, excl: true}
+			switch f {
+			case "mu":
+				sc.held = heldLock{n: 1, excl: true}
+			case "rmu":
+				sc.held = heldLock{n: 1, excl: false}
 			}
 		}
 	}
@@ -202,7 +175,7 @@ func (sc *scope) walkStmt(s ast.Stmt) {
 			// An error-exit branch (`if err != nil { unlock; return }`)
 			// releases locks only on the path that leaves the function:
 			// its lock events must not leak into the fall-through state.
-			saved := sc.snapshotHeld()
+			saved := sc.held
 			sc.walkStmt(st.Body)
 			sc.held = saved
 		} else {
@@ -350,29 +323,24 @@ func (sc *scope) callEvent(call *ast.CallExpr) {
 
 	switch method {
 	case "Lock", "RLock":
-		if class := classify(recv); class != 0 {
-			sc.acquire(call.Pos(), class, method == "Lock")
+		if isMu(recv) {
+			sc.acquire(method == "Lock")
 			return
 		}
 	case "Unlock", "RUnlock":
-		if class := classify(recv); class != 0 {
-			sc.release(class)
+		if isMu(recv) {
+			sc.release()
 			return
 		}
 	case "lockSet":
-		// Modeled helper: intent.Lock + mu.Lock per shard, ascending.
-		sc.acquire(call.Pos(), classIntent, true)
-		sc.acquire(call.Pos(), classMu, true)
-		return
-	case "unlockSet":
-		sc.release(classMu)
-		sc.release(classIntent)
+		// Modeled helper: mu.Lock per shard, ascending.
+		sc.acquire(true)
 		return
 	case "rlockSet":
-		sc.acquire(call.Pos(), classMu, false)
+		sc.acquire(false)
 		return
-	case "runlockSet":
-		sc.release(classMu)
+	case "unlockSet", "runlockSet":
+		sc.release()
 		return
 	case "indexAdd", "indexRemove", "secAdd", "secRemove":
 		sc.requireExclusiveMu(call.Pos(), "mutation", method+" on the shard indexes")
@@ -409,39 +377,9 @@ func (sc *scope) mutationEvent(lhs ast.Expr) {
 	}
 }
 
-func (sc *scope) acquire(pos token.Pos, class int, excl bool) {
-	if q := sc.held[classQueue]; q != nil && q.n > 0 {
-		sc.addf(pos, "leaf-lock",
-			"%s acquires %s while holding queue.mu: the group-commit queue mutex is a leaf lock (release it before taking anything else, as groupCommit does)",
-			sc.name, classNames[class])
-	} else {
-		for c := class + 1; c <= classQueue; c++ {
-			if h := sc.held[c]; h != nil && h.n > 0 && c != classQueue {
-				sc.addf(pos, "lock-order",
-					"%s acquires %s while holding %s: the lock-class order is latches -> intent -> mu -> queue.mu",
-					sc.name, classNames[class], classNames[c])
-				break
-			}
-		}
-	}
-	h := sc.held[class]
-	if h == nil {
-		h = &heldLock{}
-		sc.held[class] = h
-	}
-	h.n++
-	h.excl = excl
-}
-
-// snapshotHeld deep-copies the held set so a terminating branch can be
-// walked (collecting findings) without its lock events escaping.
-func (sc *scope) snapshotHeld() map[int]*heldLock {
-	out := make(map[int]*heldLock, len(sc.held))
-	for c, h := range sc.held {
-		cp := *h
-		out[c] = &cp
-	}
-	return out
+func (sc *scope) acquire(excl bool) {
+	sc.held.n++
+	sc.held.excl = excl
 }
 
 // terminates reports whether a block always leaves the enclosing scope:
@@ -465,11 +403,11 @@ func terminates(b *ast.BlockStmt) bool {
 }
 
 // release is best-effort: branch-dependent unlocks (early returns) make an
-// exact pairing undecidable without a CFG, so releasing an unheld class is
+// exact pairing undecidable without a CFG, so releasing an unheld lock is
 // ignored rather than reported.
-func (sc *scope) release(class int) {
-	if h := sc.held[class]; h != nil && h.n > 0 {
-		h.n--
+func (sc *scope) release() {
+	if sc.held.n > 0 {
+		sc.held.n--
 	}
 }
 
@@ -477,7 +415,7 @@ func (sc *scope) release(class int) {
 // discipline for secondary-index bucket maps, whose lazy builds run under
 // the read lock (see internal/dataspace/secondary.go).
 func (sc *scope) requireAnyMu(pos token.Pos, what string) {
-	if h := sc.held[classMu]; h == nil || h.n == 0 {
+	if sc.held.n == 0 {
 		sc.addf(pos, "unlocked-index",
 			"%s performs a %s with no shard mu held at all (annotate with `lint:holds mu` or `lint:holds rmu` if the callers lock)",
 			sc.name, what)
@@ -485,13 +423,12 @@ func (sc *scope) requireAnyMu(pos token.Pos, what string) {
 }
 
 func (sc *scope) requireExclusiveMu(pos token.Pos, family, what string) {
-	h := sc.held[classMu]
 	switch {
-	case h == nil || h.n == 0:
+	case sc.held.n == 0:
 		sc.addf(pos, "unlocked-"+family,
 			"%s performs a %s with no shard mu held (annotate the function with `lint:holds mu` if its callers hold it)",
 			sc.name, what)
-	case !h.excl:
+	case !sc.held.excl:
 		sc.addf(pos, "rlock-"+family,
 			"%s performs a %s under a read-locked mu: this requires the exclusive lock",
 			sc.name, what)
@@ -499,7 +436,7 @@ func (sc *scope) requireExclusiveMu(pos token.Pos, family, what string) {
 }
 
 // chainOf renders a selector chain as dotted text with index expressions
-// collapsed to `[]`: s.shards[i].latches[l.stripe] -> "s.shards[].latches[]".
+// collapsed to `[]`: s.shards[i].mu -> "s.shards[].mu".
 // Non-chain expressions render as "".
 func chainOf(e ast.Expr) string {
 	switch ex := e.(type) {
@@ -525,27 +462,9 @@ func chainOf(e ast.Expr) string {
 	return ""
 }
 
-// classify maps a lock selector chain to its class, by suffix:
-//
-//	*.latches[]  -> latch
-//	*.intent     -> intent
-//	*.queue.mu   -> queue.mu (leaf)
-//	*.mu         -> mu (shard data locks and registry mutexes)
-//
-// Anything else (sync primitives outside the discipline) is class 0 and
-// ignored.
-func classify(chain string) int {
-	switch {
-	case chain == "":
-		return 0
-	case strings.HasSuffix(chain, ".latches[]"):
-		return classLatch
-	case strings.HasSuffix(chain, ".intent"):
-		return classIntent
-	case strings.HasSuffix(chain, ".queue.mu"):
-		return classQueue
-	case strings.HasSuffix(chain, ".mu") || chain == "mu":
-		return classMu
-	}
-	return 0
+// isMu reports whether a lock selector chain names a shard mu (or a
+// registry mutex, which follows the same naming). Any other sync primitive
+// is outside the discipline and ignored.
+func isMu(chain string) bool {
+	return strings.HasSuffix(chain, ".mu") || chain == "mu"
 }

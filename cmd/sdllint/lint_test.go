@@ -99,7 +99,7 @@ func bad(sh *shard) { sh.entries[1] = 2 }
 }
 
 // TestLockSetModeling: the store's lockSet/unlockSet helpers are modeled
-// as intent+mu acquisition, including through a defer.
+// as exclusive mu acquisition, including through a defer.
 func TestLockSetModeling(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "helpers.go")

@@ -1,17 +1,16 @@
 // Command sdllint checks the runtime's lock discipline. It lints the
 // shared-dataspace store (and any other package directory named on the
-// command line) against three rules the code comments promise but the
+// command line) against the rules the code comments promise but the
 // compiler cannot enforce:
 //
-//   - lock-order: the three-layer commit ladder acquires key latches,
-//     then intent locks, then shard mu — never a lower class while a
-//     higher one is held; the group-commit queue mutex is a leaf.
 //   - unlocked/rlock-mutation: the live tuple maps (shard.entries and
 //     its indexes) are only written under an exclusive shard mu — never
 //     lock-free, never under a read lock.
 //   - unlocked-append: DurableSink.Append runs inside the commit
 //     critical section (exclusive mu held), so conflicting commits reach
 //     the log in version order.
+//   - unlocked-index: secondary-index bucket maps are only touched with
+//     some shard mu held (read or write).
 //
 // The analysis is intraprocedural; functions whose callers hold locks
 // carry a `lint:holds <class ...>` doc-comment annotation (see lint.go).

@@ -7,42 +7,12 @@ import "sync"
 
 type shard struct {
 	mu      sync.RWMutex
-	intent  sync.RWMutex
-	latches [8]sync.Mutex
-	queue   struct{ mu sync.Mutex }
 	entries map[int]int
 }
 
 type store struct {
 	shards  []*shard
 	durable interface{ Append(any) uint64 }
-}
-
-// orderInversion takes the shard mu before the intent lock: mu is class 3,
-// intent is class 2, and the ladder only descends.
-func orderInversion(sh *shard) {
-	sh.mu.Lock()
-	sh.intent.Lock() // want lock-order
-	sh.intent.Unlock()
-	sh.mu.Unlock()
-}
-
-// latchAfterIntent latches a key bucket after taking the intent lock —
-// the commuting path must latch first.
-func latchAfterIntent(sh *shard) {
-	sh.intent.RLock()
-	sh.latches[3].Lock() // want lock-order
-	sh.latches[3].Unlock()
-	sh.intent.RUnlock()
-}
-
-// leafViolation acquires a shard lock while holding the group-commit
-// queue mutex, which is a leaf.
-func leafViolation(sh *shard) {
-	sh.queue.mu.Lock()
-	sh.mu.Lock() // want leaf-lock
-	sh.mu.Unlock()
-	sh.queue.mu.Unlock()
 }
 
 // rlockMutation writes the live entries map under a read lock.

@@ -21,10 +21,9 @@
 //   - hygiene: unused quantifier variables, variables referenced but
 //     bound only by negated patterns, and branches with constant-false
 //     guards.
-//   - footprint: transactions the runtime's commutativity-aware commit
-//     path cannot plan — view-restricted processes, and patterns or
-//     assertions whose leading field is not determined by parameters and
-//     lets. Notes only: wide footprints are legal, they just serialize.
+//   - footprint: transactions the runtime's footprint planner cannot
+//     plan — view-restricted processes, and patterns or assertions whose
+//     leading field is not determined by parameters and lets. Notes only: wide footprints are legal, they just serialize.
 //   - dataflow: the interprocedural refinement (analysis/dataflow) —
 //     constant/lead propagation across the spawn graph. Reports
 //     footprint-widened transactions (re-admitted to planning, or

@@ -9,7 +9,7 @@ import (
 // runDataflow is the interprocedural footprint pass: it runs the
 // constant/lead propagation analysis (analysis/dataflow) and reports, per
 // transaction, where the refined judgment moves the transaction onto the
-// commuting fast path — or why it stays off it, with the binding chain
+// planned commit path — or why it stays off it, with the binding chain
 // from the offending lead back to the spawn and assert sites that feed
 // it. Everything is a Note: like the footprint pass, this surfaces a
 // performance boundary, not a correctness defect.

@@ -5,8 +5,8 @@ import (
 )
 
 // runFootprint is the footprint pass: it reports, per transaction, when the
-// runtime's commutativity-aware commit path (key-level locking + group
-// commit, see internal/dataspace) cannot be used, and why. The pass mirrors
+// runtime's planned commit path (locking only the shards that own the
+// footprint's buckets, see internal/dataspace) cannot be used, and why. The pass mirrors
 // the compiler's footprint.Classify judgment at the AST level:
 //
 //   - a transaction in a view-restricted process always bypasses footprint

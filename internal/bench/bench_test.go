@@ -155,10 +155,9 @@ func TestE12Smoke(t *testing.T) {
 	if len(tbl.Rows) != 1 || len(tbl.Rows[0].Metrics) != 9 {
 		t.Errorf("rows = %+v", tbl.Rows)
 	}
-	// The keyed RMW workload must lock at most ~one shard per op at every
-	// count — group commit can drain several commits under one
-	// acquisition, so values slightly below 1 are the mechanism working,
-	// while values above ~1 would mean footprints widened.
+	// The keyed RMW workload must lock about one shard per op at every
+	// count — each planned commit write-locks the one shard owning its
+	// key, so values above ~1 would mean footprints widened.
 	for _, m := range tbl.Rows[0].Metrics {
 		if strings.HasPrefix(m.Name, "wlocks") && (m.Value <= 0 || m.Value > 1.5) {
 			t.Errorf("%s = %v locks/op, want (0, ~1]", m.Name, m.Value)

@@ -1135,9 +1135,10 @@ func commutingUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers,
 // txn.footprintKeys rejects planning — a restricted view without a
 // compiler-refined class forces the full lock set — so every commit is
 // coarse. With footprint.Ground (what the interprocedural refiner proves
-// for the same process) the same requests take the key-latch path. The
-// lost-increment invariant holds either way. The caller seeds the counters
-// (seedCounters) so its commit accounting covers only the upserts.
+// for the same process) the same requests are planned and lock only the
+// shard owning their key. The lost-increment invariant holds either way.
+// The caller seeds the counters (seedCounters) so its commit accounting
+// covers only the upserts.
 func restrictedUpserts(e *txn.Engine, s *dataspace.Store, keysPerWorker, workers, opsPerWorker int, fp footprint.Class) (time.Duration, error) {
 	pairs := view.Union(view.Pat(pattern.P(pattern.W(), pattern.W())))
 	restricted := view.New(pairs, pairs)
@@ -1198,17 +1199,18 @@ func seedCounters(s *dataspace.Store, n int) {
 // commit path: the same view-restricted disjoint-key upsert workload run
 // with the footprint class an unrefined compile leaves (Unknown — every
 // commit serializes on the full lock set) against the class the dataflow
-// pass proves (Ground — commits take the key-latch/group-commit path). The
-// headline column is fast-path admission: the percentage of store commits
-// that went through per-key latches, 0% unrefined and 100% refined by
-// construction — the gated trajectory metric make analyze-bench records.
+// pass proves (Ground — commits are planned and lock only their
+// footprint's shards). The headline column is fast-path admission: the
+// percentage of store commits that were planned, 0% unrefined and 100%
+// refined by construction — the gated trajectory metric make
+// analyze-bench records.
 // Throughput rides along; like E13 it needs hardware parallelism to
 // separate, while the admission percentages are deterministic on any host.
 func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
 		Title: "interprocedural footprint refinement: fast-path admission under view restriction (unrefined vs refined)",
-		Note:  `a restricted view forces the full lock set unless the compiler proves the footprint Ground — the dataflow refiner widens the commuting fast path to view-restricted processes`,
+		Note:  `a restricted view forces the full lock set unless the compiler proves the footprint Ground — the dataflow refiner widens the planned commit path to view-restricted processes`,
 	}
 	variants := []struct {
 		name string
@@ -1226,7 +1228,7 @@ func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 	for _, kpw := range keysPerWorkerCounts {
 		row := Row{Config: fmt.Sprintf("keys/worker=%d workers=%d", kpw, workers)}
 		for _, v := range variants {
-			s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(true))
+			s := dataspace.New(dataspace.WithShards(shards))
 			seedCounters(s, kpw*workers)
 			before := s.Metrics().Snapshot()
 			d, err := restrictedUpserts(txn.New(s, txn.Coarse), s, kpw, workers, opsPerWorker, v.fp)
@@ -1236,19 +1238,19 @@ func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 			total := float64(workers * opsPerWorker)
 			after := s.Metrics().Snapshot()
 			commits := after.StoreCommits - before.StoreCommits
-			keyed := after.KeyCommits - before.KeyCommits
+			planned := after.ShardFallbacks - before.ShardFallbacks
 			fastPath := 0.0
 			if commits > 0 {
-				fastPath = 100 * float64(keyed) / float64(commits)
+				fastPath = 100 * float64(planned) / float64(commits)
 			}
 			switch v.fp {
 			case footprint.Ground:
-				if keyed != uint64(total) {
-					return nil, fmt.Errorf("E15 refined kpw=%d: %d key-path commits, want %d (refinement not admitted)", kpw, keyed, int(total))
+				if planned != uint64(total) {
+					return nil, fmt.Errorf("E15 refined kpw=%d: %d planned commits, want %d (refinement not admitted)", kpw, planned, int(total))
 				}
 			default:
-				if keyed != 0 {
-					return nil, fmt.Errorf("E15 unrefined kpw=%d: %d key-path commits, want 0 (admission gate leaked)", kpw, keyed)
+				if planned != 0 {
+					return nil, fmt.Errorf("E15 unrefined kpw=%d: %d planned commits, want 0 (admission gate leaked)", kpw, planned)
 				}
 			}
 			row.Metrics = append(row.Metrics,
@@ -1262,14 +1264,14 @@ func E15RefinedAdmission(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 
 // RefinedUpserts runs one configuration of the E15 workload (for the
 // testing.B benchmark): view-restricted disjoint-key upserts carrying the
-// footprint class the interprocedural refiner proves (Ground, the key-latch
-// path) or the unrefined default (Unknown, the full lock set).
+// footprint class the interprocedural refiner proves (Ground, planned
+// commits) or the unrefined default (Unknown, the full lock set).
 func RefinedUpserts(refined bool) error {
 	fp := footprint.Unknown
 	if refined {
 		fp = footprint.Ground
 	}
-	s := dataspace.New(dataspace.WithShards(8), dataspace.WithCommuting(true))
+	s := dataspace.New(dataspace.WithShards(8))
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -1280,10 +1282,9 @@ func RefinedUpserts(refined bool) error {
 }
 
 // CommutingUpserts runs one configuration of the E13 workload (for the
-// testing.B benchmark): disjoint-key upserts with the commutativity-aware
-// commit path on or off.
-func CommutingUpserts(shards int, commuting bool) error {
-	s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(commuting))
+// testing.B benchmark): disjoint-key upserts at the given shard count.
+func CommutingUpserts(shards int) error {
+	s := dataspace.New(dataspace.WithShards(shards))
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -1292,20 +1293,17 @@ func CommutingUpserts(shards int, commuting bool) error {
 	return err
 }
 
-// E13CommutingUpserts is the commit-path ablation: key-level latches plus
-// group commit (the commutativity-aware path) against the shard-mutex
-// baseline, on disjoint-key contended upserts where every transaction pair
-// commutes. The new always-on instruments are surfaced as columns: write
-// locks per op (the group-commit amortization), key-latch acquisitions per
-// op, and the mean group-commit batch size. Like E12, throughput gains
-// over the baseline require hardware parallelism (GOMAXPROCS >= 4);
-// single-core runs should tie to within noise while still exercising the
-// full latch/batch machinery.
+// E13CommutingUpserts measures the commit path on disjoint-key contended
+// upserts, where every transaction pair commutes: planned commits lock only
+// the shard owning their key, so with several shards disjoint upserts
+// commit in parallel. Columns are throughput and write locks per op at one
+// and at eight shards. Like E12, the gap between the shard counts needs
+// hardware parallelism (GOMAXPROCS >= 4).
 func E13CommutingUpserts(_ context.Context, keysPerWorkerCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
-		Title: "commutativity-aware commit path: key latches + group commit vs shard mutex (disjoint-key upserts)",
-		Note:  `PAPERS.md "full parallelism": operations on disjoint tuples commute, so an ideal commit path admits them all concurrently — the shard mutex serializes them, the key-latch path does not`,
+		Title: "commuting upserts: shard-locked commit path at 1 and 8 shards (disjoint-key upserts)",
+		Note:  `PAPERS.md "full parallelism": operations on disjoint tuples commute, so an ideal commit path admits them all concurrently — planned commits lock only their key's shard`,
 	}
 	shardCounts := []int{1, 8}
 	workers := runtime.GOMAXPROCS(0)
@@ -1316,32 +1314,17 @@ func E13CommutingUpserts(_ context.Context, keysPerWorkerCounts []int) (*Table, 
 	for _, kpw := range keysPerWorkerCounts {
 		row := Row{Config: fmt.Sprintf("keys/worker=%d workers=%d", kpw, workers)}
 		for _, sc := range shardCounts {
-			for _, commuting := range []bool{false, true} {
-				s := dataspace.New(dataspace.WithShards(sc), dataspace.WithCommuting(commuting))
-				d, err := commutingUpserts(txn.New(s, txn.Coarse), s, kpw, workers, opsPerWorker)
-				if err != nil {
-					return nil, fmt.Errorf("E13 commuting=%v shards=%d kpw=%d: %w", commuting, sc, kpw, err)
-				}
-				total := float64(workers * opsPerWorker)
-				snap := s.Metrics().Snapshot()
-				_, writeLocks := snap.ShardLockTotals()
-				label := fmt.Sprintf("mutex s=%d", sc)
-				if commuting {
-					label = fmt.Sprintf("commute s=%d", sc)
-				}
-				row.Metrics = append(row.Metrics,
-					Metric{Name: label, Value: total / d.Seconds() / 1000, Unit: "kops/s"},
-					Metric{Name: label + " wlocks", Value: float64(writeLocks) / total, Unit: "locks/op"})
-				if commuting {
-					batchMean := 0.0
-					if snap.GroupBatch.Count > 0 {
-						batchMean = float64(snap.GroupBatch.Sum) / float64(snap.GroupBatch.Count)
-					}
-					row.Metrics = append(row.Metrics,
-						Metric{Name: label + " klocks", Value: float64(snap.KeyLockTotal()) / total, Unit: "locks/op"},
-						Metric{Name: label + " batch", Value: batchMean, Unit: "txns/batch"})
-				}
+			s := dataspace.New(dataspace.WithShards(sc))
+			d, err := commutingUpserts(txn.New(s, txn.Coarse), s, kpw, workers, opsPerWorker)
+			if err != nil {
+				return nil, fmt.Errorf("E13 shards=%d kpw=%d: %w", sc, kpw, err)
 			}
+			total := float64(workers * opsPerWorker)
+			_, writeLocks := s.Metrics().Snapshot().ShardLockTotals()
+			label := fmt.Sprintf("mutex s=%d", sc)
+			row.Metrics = append(row.Metrics,
+				Metric{Name: label, Value: total / d.Seconds() / 1000, Unit: "kops/s"},
+				Metric{Name: label + " wlocks", Value: float64(writeLocks) / total, Unit: "locks/op"})
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -200,12 +200,9 @@ func (r epochReader) Len() int {
 // keys, without taking any locks, and reports whether the read was
 // consistent: true means no footprint shard changed while fn ran and its
 // observations stand; false means the read may be torn and the caller must
-// retry on the locked path (SnapshotKeys). Wildcard keys and stores built
-// with WithCommuting(false) always return false.
+// retry on the locked path (SnapshotKeys). Wildcard keys always return
+// false.
 func (s *Store) SnapshotKeysEpoch(keys []InterestKey, fn func(r Reader)) bool {
-	if !s.commuting {
-		return false
-	}
 	var ss shardSet
 	for _, k := range keys {
 		switch {

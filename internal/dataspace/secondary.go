@@ -20,10 +20,10 @@ import (
 // threshold flips to hot. A hot shape's buckets are populated lazily — the
 // first scan that needs them builds them under the shard lock already held
 // for the read — then maintained incrementally by every assert/retract
-// (writer, rollback, and the keyWriter's batched apply all funnel through
-// indexAdd/indexRemove) and validated by the same change sequence the
-// epoch snapshots use. Shapes whose write traffic dwarfs their scan usage
-// are demoted back to cold, dropping their buckets.
+// (writer and rollback both funnel through indexAdd/indexRemove) and
+// validated by the same change sequence the epoch snapshots use. Shapes
+// whose write traffic dwarfs their scan usage are demoted back to cold,
+// dropping their buckets.
 //
 // Concurrency discipline (checked by cmd/sdllint): bucket maps are
 // mutated only while the shard's exclusive mu is held; readers touch them
@@ -411,44 +411,6 @@ func (e estimator) FieldValueEstimate(arity, pos int, val tuple.Value) float64 {
 	return total
 }
 
-// --- keyWriter overlay ---
-
-// ScanFields mirrors the keyWriter's Scan overlay for the field access
-// path: live results minus this transaction's buffered deletes, plus its
-// buffered inserts of the arity (a superset of the sels match — the
-// matcher re-verifies, and sels must not be re-read after delivery
-// starts).
-func (kw *keyWriter) ScanFields(arity int, sels []pattern.FieldSel, fn func(tuple.ID, tuple.Tuple) bool) {
-	stopped := false
-	kw.live().ScanFields(arity, sels, func(id tuple.ID, t tuple.Tuple) bool {
-		if kw.isDeleted(id) {
-			return true
-		}
-		if !fn(id, t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, ins := range kw.inserted {
-		if ins.Tuple.Arity() != arity {
-			continue
-		}
-		if !fn(ins.ID, ins.Tuple) {
-			return
-		}
-	}
-}
-
-// JoinEstimator implements pattern.EstimatorProvider; buffered mutations
-// are few, so the live estimates stand in for the overlay.
-func (kw *keyWriter) JoinEstimator() pattern.Estimator {
-	return kw.live().JoinEstimator()
-}
-
 // --- epoch read path ---
 
 // ScanFields implements pattern.FieldSource over epoch snapshots. A shape
@@ -504,8 +466,6 @@ func (r epochReader) ScanFields(arity int, sels []pattern.FieldSel, fn func(tupl
 // Interface conformance for every reader flavor (writer embeds reader).
 var (
 	_ pattern.FieldSource       = reader{}
-	_ pattern.FieldSource       = (*keyWriter)(nil)
 	_ pattern.FieldSource       = epochReader{}
 	_ pattern.EstimatorProvider = reader{}
-	_ pattern.EstimatorProvider = (*keyWriter)(nil)
 )

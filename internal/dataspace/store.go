@@ -151,17 +151,9 @@ func (ss *shardSet) forEach(fn func(i uint32) bool) {
 
 // shard is one partition of the dataspace. A shard's maps, counters, and
 // waiter registry are guarded by its mu (the registry additionally has its
-// own short-lived mutex so Wait/cancel need no shard lock).
-//
-// The commuting commit path (see locktable.go) layers two more lock
-// classes around mu. intent separates the two commit disciplines: key-mode
-// commits hold it shared for their whole span, shard-mode commits hold it
-// exclusive, so the two never interleave on one shard while key-mode
-// commits stack up freely. latches are the striped per-key lock table; a
-// key-mode commit latches every bucket of its footprint before touching
-// intent. The acquisition order is always latches (ascending global
-// order), then intent (ascending shard order), then mu — a fixed class
-// order that keeps the three-layer ladder deadlock-free.
+// own short-lived mutex so Wait/cancel need no shard lock). mu is the
+// only lock class on the commit path: every commit takes the mu of each
+// shard in its footprint, in ascending shard order.
 //
 // seq counts committed changes to this shard's contents and snap caches an
 // immutable epoch snapshot of them (see epoch.go); both are maintained
@@ -183,10 +175,6 @@ type shard struct {
 	asserts  uint64
 	retracts uint64
 
-	intent  sync.RWMutex
-	latches [keyStripes]sync.Mutex
-	queue   commitQueue
-
 	seq  atomic.Uint64
 	snap atomic.Pointer[shardSnap]
 
@@ -203,7 +191,6 @@ type Store struct {
 	mask   uint32
 	all    shardSet // every shard index, for the full-lock paths
 
-	commuting bool // key-level locking + group commit enabled
 	reactive  bool // delta-driven wakeups for delayed transactions enabled
 	secondary bool // adaptive secondary field indexes + selectivity planning enabled
 
@@ -221,7 +208,6 @@ type Option func(*storeConfig)
 type storeConfig struct {
 	shards      int
 	sc          *sched.Controller
-	noCommuting bool
 	noReactive  bool
 	noSecondary bool
 }
@@ -240,13 +226,6 @@ func WithShards(n int) Option {
 // controller (the default) keeps every hook a no-op.
 func WithScheduler(sc *sched.Controller) Option {
 	return func(c *storeConfig) { c.sc = sc }
-}
-
-// WithCommuting enables or disables the commutativity-aware commit path
-// (per-key latches plus group commit; on by default). Disabling it demotes
-// every planned commit to shard-level locking — the E13 ablation baseline.
-func WithCommuting(on bool) Option {
-	return func(c *storeConfig) { c.noCommuting = !on }
 }
 
 // WithReactive enables or disables delta-driven wakeups for delayed
@@ -328,7 +307,6 @@ func New(opts ...Option) *Store {
 	s := &Store{
 		shards:    make([]*shard, n),
 		mask:      uint32(n - 1),
-		commuting: !cfg.noCommuting,
 		reactive:  !cfg.noReactive,
 		secondary: !cfg.noSecondary,
 		metrics:   metrics.NewRegistry(n),
@@ -372,9 +350,8 @@ func (s *Store) Sched() *sched.Controller { return s.sc }
 // hashKey hashes an index key: FNV-1a accumulation over the key's
 // canonical fields, then a full-avalanche finalizer so that differences
 // anywhere in the input (e.g. the high mantissa bits that distinguish
-// small numeric leads) reach every output bit. The low 32 bits select the
-// shard; the high 32 bits select the key-latch stripe, so the two
-// partitions are independent.
+// small numeric leads) reach every output bit. The low bits select the
+// shard.
 func hashKey(k indexKey) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -442,15 +419,11 @@ func (s *Store) runlockSet(ss *shardSet) {
 	ss.forEach(func(i uint32) bool { s.shards[i].mu.RUnlock(); return true })
 }
 
-// lockSet takes the shard-mode (exclusive) locks: each shard's intent lock
-// keeps key-mode commits off the shard for the whole critical section, and
-// its mu grants exclusive access to the maps. Both are acquired in
-// ascending shard order, intent before mu — the global lock-class order
-// shared with the commuting path (locktable.go).
+// lockSet takes the exclusive mu of every shard in the set, in ascending
+// shard order (the global lock order).
 func (s *Store) lockSet(ss *shardSet) {
 	ss.forEach(func(i uint32) bool {
 		s.sc.Yield(sched.PointLockShard)
-		s.shards[i].intent.Lock()
 		s.shards[i].mu.Lock()
 		s.metrics.IncShardWrite(i)
 		return true
@@ -458,11 +431,7 @@ func (s *Store) lockSet(ss *shardSet) {
 }
 
 func (s *Store) unlockSet(ss *shardSet) {
-	ss.forEach(func(i uint32) bool {
-		s.shards[i].mu.Unlock()
-		s.shards[i].intent.Unlock()
-		return true
-	})
+	ss.forEach(func(i uint32) bool { s.shards[i].mu.Unlock(); return true })
 }
 
 // OnCommit registers a hook invoked for every mutating commit. Must be
@@ -600,11 +569,11 @@ func (s *Store) UpdateKeys(owner tuple.ProcessID, keys []InterestKey, fn func(w 
 	return err
 }
 
-// updateSet is the shard-locked commit path. coarse distinguishes the
+// updateSet is the store's one commit path. coarse distinguishes the
 // accounting ladder: an unplanned commit over the full lock set (or a bulk
-// Assert) counts as coarse, a keys-planned commit counts as a shard
-// fallback. Together with the per-key path's IncKeyCommit, every mutating
-// store commit lands in exactly one of the three counters.
+// Assert) counts as coarse, a keys-planned commit (UpdateKeys) counts as a
+// shard fallback, so every mutating store commit lands in exactly one of
+// the two counters.
 func (s *Store) updateSet(ss shardSet, owner tuple.ProcessID, coarse bool, fn func(w Writer) error) (bool, error) {
 	s.lockSet(&ss)
 	if s.sc != nil {
@@ -874,7 +843,7 @@ func (r reader) Len() int {
 // Insert applies immediately to the live maps; updateSet holds the
 // exclusive locks of every shard in the writer's set for the whole fn.
 //
-// lint:holds intent mu
+// lint:holds mu
 func (w *writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 	si := w.s.shardIndex(indexKeyOf(t))
 	if !w.ss.has(si) {
@@ -892,7 +861,7 @@ func (w *writer) Insert(t tuple.Tuple, owner tuple.ProcessID) tuple.ID {
 // Delete applies immediately to the live maps; updateSet holds the
 // exclusive locks of every shard in the writer's set for the whole fn.
 //
-// lint:holds intent mu
+// lint:holds mu
 func (w *writer) Delete(id tuple.ID) error {
 	var (
 		sh *shard
@@ -920,7 +889,7 @@ func (w *writer) Delete(id tuple.ID) error {
 // rollback undoes the writer's mutations (fn returned an error), restoring
 // every touched shard's entries and indexes.
 //
-// lint:holds intent mu
+// lint:holds mu
 func (w *writer) rollback() {
 	for i, ins := range w.inserted {
 		sh := w.s.shards[w.insShard[i]]

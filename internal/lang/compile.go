@@ -38,7 +38,7 @@ type FootprintJudgment struct {
 // for the main block), the transaction's AST node, and the compiler's own
 // conservative class; returning ok=false keeps the conservative class.
 //
-// The compiler only accepts refinements that widen the commuting fast
+// The compiler only accepts refinements that widen the planned commit
 // path's intake in directions the runtime can double-check: Ground (the
 // dynamic planner re-evaluates every lead and remains authoritative) and
 // GroundKeys with an attached key set (the engine trusts the keys, and the

@@ -174,14 +174,12 @@ type txnCells struct {
 type shardCells struct {
 	readLocks  cell
 	writeLocks cell
-	keyLocks   cell
 }
 
 // ShardCounters is the per-shard activity snapshot.
 type ShardCounters struct {
 	ReadLocks  uint64 `json:"readLocks"`  // read-lock acquisitions
 	WriteLocks uint64 `json:"writeLocks"` // write-lock acquisitions
-	KeyLocks   uint64 `json:"keyLocks"`   // per-key latch acquisitions (commuting path)
 }
 
 // Registry is the per-store metrics registry. Construct with NewRegistry;
@@ -193,13 +191,11 @@ type Registry struct {
 
 	commits Counter // mutating store commits (== commit-hook invocations)
 
-	keyCommits     Counter    // commits admitted on the per-key commuting path
-	shardFallbacks Counter    // planned commits that fell back to shard locking
-	coarseCommits  Counter    // unplanned commits applied under the full lock set
-	groupBatch     *Histogram // commits applied per group-commit drain (always on)
-	epochReads     Counter    // lock-free epoch snapshot reads
-	epochRebuilds  Counter    // epoch snapshot rebuilds (cache misses)
-	epochFallbacks Counter    // epoch reads invalidated by a concurrent commit
+	shardFallbacks Counter // planned commits, applied under their footprint's shard locks
+	coarseCommits  Counter // unplanned commits applied under the full lock set
+	epochReads     Counter // lock-free epoch snapshot reads
+	epochRebuilds  Counter // epoch snapshot rebuilds (cache misses)
+	epochFallbacks Counter // epoch reads invalidated by a concurrent commit
 
 	txn        [numTxnKinds]txnCells
 	txnLatency [numTxnKinds]*Histogram // ns per execution; gated on Observed
@@ -251,7 +247,6 @@ func NewRegistry(shards int) *Registry {
 	}
 	r := &Registry{
 		shards:             make([]shardCells, shards),
-		groupBatch:         NewHistogram(SizeBounds),
 		footprint:          NewHistogram(SizeBounds),
 		wakeupFanout:       NewHistogram(SizeBounds),
 		consensusCommunity: NewHistogram(SizeBounds),
@@ -290,18 +285,13 @@ func (r *Registry) IncCommits() { r.commits.Add(1) }
 // Commits returns the mutating-commit count.
 func (r *Registry) Commits() uint64 { return r.commits.Value() }
 
-// IncShardKeyLocks counts n per-key latch acquisitions on shard i.
-func (r *Registry) IncShardKeyLocks(i uint32, n int) { r.shards[i].keyLocks.v.Add(uint64(n)) }
-
-// IncKeyCommit counts one commit admitted on the per-key commuting path.
-func (r *Registry) IncKeyCommit() { r.keyCommits.Add(1) }
-
-// IncShardFallback counts one planned commit that fell back to shard locks.
+// IncShardFallback counts one planned commit, applied under the shard
+// locks of its footprint.
 func (r *Registry) IncShardFallback() { r.shardFallbacks.Add(1) }
 
 // IncCoarseCommit counts one unplanned mutating commit applied under the
 // full (or env-assert) lock set. Every mutating store commit is exactly
-// one of key / fallback / coarse — the audited-ladder invariant.
+// one of planned (shard fallback) / coarse — the audited-ladder invariant.
 func (r *Registry) IncCoarseCommit() { r.coarseCommits.Add(1) }
 
 // FootprintClasses is the number of static footprint classes
@@ -314,7 +304,8 @@ var footprintClassNames = [FootprintClasses]string{"unknown", "ground", "wildcar
 
 // IncFootprintAdmission counts one transaction execution admitted to
 // planning with the given static footprint class, and whether the dynamic
-// planner produced an exact plan (the commuting fast path's intake).
+// planner produced an exact plan (the planned commit path's
+// intake).
 func (r *Registry) IncFootprintAdmission(class uint8, planned bool) {
 	if class >= FootprintClasses {
 		class = 0
@@ -324,10 +315,6 @@ func (r *Registry) IncFootprintAdmission(class uint8, planned bool) {
 		r.footprintPlanned[class].v.Add(1)
 	}
 }
-
-// ObserveGroupBatch records the number of commits one group-commit drain
-// applied (always on; one observation per drain, not per commit).
-func (r *Registry) ObserveGroupBatch(n int) { r.groupBatch.Observe(uint64(n)) }
 
 // IncEpochRead counts one lock-free epoch snapshot read.
 func (r *Registry) IncEpochRead() { r.epochReads.Add(1) }
@@ -498,20 +485,24 @@ type Snapshot struct {
 	Shards       []ShardCounters `json:"shards"`
 	StoreCommits uint64          `json:"storeCommits"`
 
-	KeyCommits     uint64            `json:"keyCommits"`     // commits on the per-key commuting path
-	ShardFallbacks uint64            `json:"shardFallbacks"` // planned commits demoted to shard locks
-	CoarseCommits  uint64            `json:"coarseCommits"`  // unplanned commits under the full lock set
-	GroupBatch     HistogramSnapshot `json:"groupBatch"`     // commits per group-commit drain
-	EpochReads     uint64            `json:"epochReads"`     // lock-free snapshot reads
-	EpochRebuilds  uint64            `json:"epochRebuilds"`  // snapshot rebuilds
-	EpochFallbacks uint64            `json:"epochFallbacks"` // epoch reads that fell back to locking
+	ShardFallbacks uint64 `json:"shardFallbacks"` // planned commits, under their footprint's shard locks
+	CoarseCommits  uint64 `json:"coarseCommits"`  // unplanned commits under the full lock set
+	EpochReads     uint64 `json:"epochReads"`     // lock-free snapshot reads
+	EpochRebuilds  uint64 `json:"epochRebuilds"`  // snapshot rebuilds
+	EpochFallbacks uint64 `json:"epochFallbacks"` // epoch reads that fell back to locking
+
+	// KeyCommits and GroupBatch always read 0: the store has no per-key
+	// commit path and no group-commit combiner. They stay for readers that
+	// still difference them.
+	KeyCommits uint64            `json:"keyCommits"`
+	GroupBatch HistogramSnapshot `json:"groupBatch"`
 
 	Txn        map[string]TxnCounters       `json:"txn"`
 	TxnLatency map[string]HistogramSnapshot `json:"txnLatencyNs"`
 
 	// FootprintAdmissions counts transaction executions per static
 	// footprint class; FootprintPlanned is the subset the dynamic planner
-	// admitted to the commuting fast path.
+	// admitted to the planned commit path.
 	FootprintAdmissions map[string]uint64 `json:"footprintAdmissions"`
 	FootprintPlanned    map[string]uint64 `json:"footprintPlanned"`
 
@@ -578,14 +569,9 @@ func (s Snapshot) ShardLockTotals() (reads, writes uint64) {
 	return reads, writes
 }
 
-// KeyLockTotal sums per-key latch acquisitions across shards.
-func (s Snapshot) KeyLockTotal() uint64 {
-	var n uint64
-	for _, sc := range s.Shards {
-		n += sc.KeyLocks
-	}
-	return n
-}
+// KeyLockTotal always reads 0: the store takes no per-key locks. It stays
+// for readers that still difference it.
+func (s Snapshot) KeyLockTotal() uint64 { return 0 }
 
 // Snapshot copies every instrument.
 func (r *Registry) Snapshot() Snapshot {
@@ -593,10 +579,8 @@ func (r *Registry) Snapshot() Snapshot {
 		Observed:                 r.observed.Load(),
 		Shards:                   make([]ShardCounters, len(r.shards)),
 		StoreCommits:             r.commits.Value(),
-		KeyCommits:               r.keyCommits.Value(),
 		ShardFallbacks:           r.shardFallbacks.Value(),
 		CoarseCommits:            r.coarseCommits.Value(),
-		GroupBatch:               r.groupBatch.snapshot(),
 		EpochReads:               r.epochReads.Value(),
 		EpochRebuilds:            r.epochRebuilds.Value(),
 		EpochFallbacks:           r.epochFallbacks.Value(),
@@ -642,7 +626,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Shards[i] = ShardCounters{
 			ReadLocks:  r.shards[i].readLocks.v.Load(),
 			WriteLocks: r.shards[i].writeLocks.v.Load(),
-			KeyLocks:   r.shards[i].keyLocks.v.Load(),
 		}
 	}
 	for k := TxnKind(0); k < numTxnKinds; k++ {

@@ -112,10 +112,10 @@ end
 
 	// microCommuteSrc upserts three disjoint counters concurrently: each
 	// process owns one key, so every pair of transactions commutes and the
-	// run exercises the commutativity-aware commit path (key latches and
-	// group commit) rather than shard contention. The per-key invariant —
-	// every counter ends at exactly 3, total 9 — catches any cross-key
-	// interference or lost update the batched publication could introduce.
+	// planned commits lock only their own key's shard rather than
+	// contending on one. The per-key invariant — every counter ends at
+	// exactly 3, total 9 — catches any cross-key interference or lost
+	// update the parallel commits could introduce.
 	microCommuteSrc = `
 process Bump(k)
 behavior
@@ -181,8 +181,8 @@ main
 end
 `
 
-	// microDurableSrc mixes the two commit paths the WAL must order — the
-	// key-latch upsert path (Bump, contended read-modify-write) and plain
+	// microDurableSrc mixes the two commit shapes the WAL must order —
+	// planned upserts (Bump, contended read-modify-write) and plain
 	// disjoint asserts (Put) — so the appended record stream interleaves
 	// commuting and conflicting commits. The durability harness then cuts
 	// the log at a seed-chosen byte and recovery must reconstruct a

@@ -62,8 +62,6 @@ const (
 	PointConsensusResolve              // consensus: offer resolution ordering
 	PointProcStep                      // process: between behavior statements
 	PointProcSpawn                     // process: spawn-group start ordering
-	PointLockKey                       // dataspace: before each key-latch acquisition
-	PointGroupCommit                   // dataspace: group-commit batch apply ordering
 	PointWalSync                       // wal: before a commit blocks on its durability wait
 	PointWalCrash                      // wal: crash-injection cut selection (exploration only)
 	PointReactiveDeliver               // dataspace: subscription delta-delivery ordering
@@ -104,10 +102,6 @@ func (p Point) String() string {
 		return "proc-step"
 	case PointProcSpawn:
 		return "proc-spawn"
-	case PointLockKey:
-		return "lock-key"
-	case PointGroupCommit:
-		return "group-commit"
 	case PointWalSync:
 		return "wal-sync"
 	case PointWalCrash:

@@ -249,7 +249,7 @@ func (e *Engine) exec(req Request, kind metrics.TxnKind) (Result, error) {
 // decide on the candidate tuple alone, window scans with planned leads
 // touch only planned buckets, and the per-pattern plan above covers
 // everything the evaluation can read or write. That combination restores
-// the key-latch/group-commit path to view-restricted processes.
+// the planned commit path to view-restricted processes.
 //
 // Secondary field indexes never narrow this plan: a pattern with an
 // unknown lead stays unplanned even when constant non-lead fields give the
@@ -308,21 +308,19 @@ func footprintKeys(req Request) ([]dataspace.InterestKey, bool) {
 
 // planKeys runs the footprint planner and records the admission: one
 // counter bump per execution, keyed by the request's static class and by
-// whether the plan succeeded (planned executions are the commuting fast
-// path's intake; unplanned ones serialize on the full-store lock).
+// whether the plan succeeded (planned executions lock only their
+// footprint's shards; unplanned ones serialize on the full-store lock).
 func (e *Engine) planKeys(req Request) ([]dataspace.InterestKey, bool) {
 	keys, planned := footprintKeys(req)
 	e.m.IncFootprintAdmission(uint8(req.Footprint), planned)
 	return keys, planned
 }
 
-// update runs fn under the narrowest sound lock: the commutativity-aware
-// key-level path when the footprint plan is exact (per-bucket latches plus
-// group commit, falling back to shard locks for plans the lock table cannot
-// latch), the whole store otherwise.
+// update runs fn under the narrowest sound lock: the shards covering the
+// footprint when the plan is exact, the whole store otherwise.
 func (e *Engine) update(req Request, keys []dataspace.InterestKey, planned bool, fn func(w dataspace.Writer) error) error {
 	if planned {
-		return e.store.UpdateCommuting(req.Proc, keys, fn)
+		return e.store.UpdateKeys(req.Proc, keys, fn)
 	}
 	return e.store.Update(req.Proc, fn)
 }
@@ -714,8 +712,8 @@ func deltaFilter(req Request) func(dataspace.Delta) bool {
 // With the store's reactive path enabled, the blocked guard registers one
 // delta subscription for the whole wait: commits publish their asserted/
 // retracted tuples through the publisher-side filter, irrelevant commits
-// are suppressed before any wakeup, and the commits of one group-commit
-// drain batch into a single re-evaluation. With it disabled (the E16
+// are suppressed before any wakeup, and commits that land while the guard
+// re-evaluates batch into a single re-evaluation. With it disabled (the E16
 // ablation), every covering commit wakes the waiter for a full re-query
 // through a fresh one-shot Wait registration.
 func (e *Engine) Delayed(ctx context.Context, req Request) (Result, error) {

@@ -659,8 +659,8 @@ func BenchmarkImmediateRMW(b *testing.B) {
 }
 
 // TestFieldIndexedQueryStaysUnplanned pins the footprintKeys contract: a
-// pattern whose lead is unknown under the issuing environment stays off
-// the key-latch plan even when its constant non-lead fields give the
+// pattern whose lead is unknown under the issuing environment stays
+// unplanned even when its constant non-lead fields give the
 // matcher an indexed access path — the field index changes which tuples a
 // scan visits inside the locked footprint, not which shards the footprint
 // locks. The lookups below promote their shape and are index-served, yet
@@ -690,9 +690,9 @@ func TestFieldIndexedQueryStaysUnplanned(t *testing.T) {
 		}
 	}
 	post := s.Metrics().Snapshot()
-	if post.KeyCommits != pre.KeyCommits {
-		t.Errorf("unknown-lead commits took the key-latch path: %d -> %d",
-			pre.KeyCommits, post.KeyCommits)
+	if post.ShardFallbacks != pre.ShardFallbacks {
+		t.Errorf("unknown-lead commits were planned: %d -> %d",
+			pre.ShardFallbacks, post.ShardFallbacks)
 	}
 	if got := post.CoarseCommits - pre.CoarseCommits; got != lookups {
 		t.Errorf("coarse commits grew by %d, want %d", got, lookups)

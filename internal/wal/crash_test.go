@@ -14,8 +14,9 @@ package wal
 // acked effect must be present in the recovered state — a missing one is
 // a lost committed effect, and the strictly-increasing version check in
 // refmodel.ReplayFrom rules out duplicated ones. (Version GAPS are legal:
-// commuting commits append in flight order, so an unsynced commit can
-// leave a hole below durable, acknowledged neighbors — see wal.State.)
+// commits on disjoint shards allocate versions concurrently and append in
+// flight order, so an unsynced commit can leave a hole below durable,
+// acknowledged neighbors — see wal.State.)
 
 import (
 	"bufio"
@@ -34,7 +35,7 @@ import (
 )
 
 const (
-	crashCounters   = 8    // counter keys 100..107, upserted via key latches
+	crashCounters   = 8    // counter keys 100..107, upserted via UpdateKeys
 	crashAccounts   = 3    // account keys 200..202, transfers conserve the sum
 	crashBalance    = 1000 // initial balance per account
 	crashWorkers    = 4
@@ -68,7 +69,7 @@ func runCrashChild() {
 	}
 	segSize, _ := strconv.Atoi(os.Getenv(crashSegSizeEnv))
 
-	s := dataspace.New(dataspace.WithShards(shards), dataspace.WithCommuting(true))
+	s := dataspace.New(dataspace.WithShards(shards))
 	l, err := Open(dir, Options{Sync: mode, SegmentSize: int64(segSize)})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
@@ -129,11 +130,11 @@ func runCrashChild() {
 	select {} // run until killed
 }
 
-// crashUpsert bumps counter <k, v> → <k, v+1> through the commuting
-// (key-latch, group-commit) path.
+// crashUpsert bumps counter <k, v> → <k, v+1> through the planned
+// (shard-narrowed) commit path.
 func crashUpsert(s *dataspace.Store, owner tuple.ProcessID, k int64) error {
 	key := dataspace.InterestKey{Arity: 2, Lead: tuple.Int(k), LeadKnown: true}
-	return s.UpdateCommuting(owner, []dataspace.InterestKey{key}, func(w dataspace.Writer) error {
+	return s.UpdateKeys(owner, []dataspace.InterestKey{key}, func(w dataspace.Writer) error {
 		var id tuple.ID
 		var cur int64
 		found := false

@@ -22,9 +22,10 @@ type State struct {
 	Base []dataspace.Instance
 	// Records is the replayable suffix: every decodable record with
 	// version > CheckpointVersion, sorted by version. Versions are
-	// strictly increasing but may have GAPS: commuting commits append in
-	// flight-order, not version order, so a crash can make version v+1
-	// durable while v is not. A missing version was never fsynced — and
+	// strictly increasing but may have GAPS: commits on disjoint shards
+	// allocate versions concurrently and append in flight order, not
+	// version order, so a crash can make version v+1 durable while v is
+	// not. A missing version was never fsynced — and
 	// because conflicting commits DO append in version order, it commutes
 	// with every durable record above it, so the durable records replayed
 	// in version order remain a legal serial history (see

@@ -217,9 +217,9 @@ func TestVersionGapKeepsDurableRecords(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	// Hand-append records with a version gap (3 missing) — the shape a
-	// crash leaves when a commuting commit allocated version 3 but its
-	// append never got fsynced while 4 and 5 (appended earlier in file
-	// order) did. Commits 4 and 5 were acknowledged; recovery must keep
+	// crash leaves when a commit allocated version 3 but its append never
+	// got fsynced while 4 and 5 (disjoint-shard commits appended earlier in
+	// file order) did. Commits 4 and 5 were acknowledged; recovery must keep
 	// ALL durable records and account the gap, not discard the suffix.
 	for _, v := range []uint64{1, 2, 4, 5} {
 		rec := dataspace.CommitRecord{
@@ -370,15 +370,15 @@ func TestAppendsMatchCommits(t *testing.T) {
 	reg := s.Metrics()
 	l := attach(t, dir, s, Options{Sync: SyncBatch, Metrics: reg})
 	workload(t, s, 30)
-	// Also push commits through the commuting (key-latch) path.
+	// Also push commits through the planned (shard-narrowed) path.
 	key := dataspace.InterestKey{Arity: 2, Lead: tuple.Int(999), LeadKnown: true}
 	for i := 0; i < 10; i++ {
-		err := s.UpdateCommuting(1, []dataspace.InterestKey{key}, func(w dataspace.Writer) error {
+		err := s.UpdateKeys(1, []dataspace.InterestKey{key}, func(w dataspace.Writer) error {
 			w.Insert(tup(999, int64(i)), 1)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("UpdateCommuting: %v", err)
+			t.Fatalf("UpdateKeys: %v", err)
 		}
 	}
 	snap := reg.Snapshot()

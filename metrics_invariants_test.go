@@ -117,30 +117,28 @@ func TestSystemMetricsInvariants(t *testing.T) {
 	}
 
 	// Lock discipline: the 4-shard registry exposes per-shard resolution,
-	// and every environment Assert write-locked at least one shard. (Write
-	// locks no longer dominate commits: group commit drains a whole batch
-	// of key-mode commits under one acquisition.)
+	// and every mutating store commit write-locked at least one shard of
+	// its own (no commit publishes under another commit's locks).
 	if len(snap.Shards) != 4 {
 		t.Fatalf("shard counters = %d, want 4", len(snap.Shards))
 	}
-	if _, writes := snap.ShardLockTotals(); writes < envAsserts {
-		t.Errorf("write locks %d < env asserts %d", writes, envAsserts)
+	if _, writes := snap.ShardLockTotals(); writes < snap.StoreCommits {
+		t.Errorf("write locks %d < store commits %d", writes, snap.StoreCommits)
 	}
 
-	// Commutativity-aware commit path accounting. Every engine commit in
-	// this workload is planned (concrete leads, universal views), so each
-	// one either committed under key latches or was demoted to shard
-	// locking — nothing else.
-	if got := snap.KeyCommits + snap.ShardFallbacks; got != snap.TotalCommits() {
-		t.Errorf("key commits %d + shard fallbacks %d = %d, want %d engine commits",
-			snap.KeyCommits, snap.ShardFallbacks, got, snap.TotalCommits())
+	// Commit path accounting. Every engine commit in this workload is
+	// planned (concrete leads, universal views), so each one committed
+	// under its footprint's shard locks — nothing else.
+	if snap.ShardFallbacks != snap.TotalCommits() {
+		t.Errorf("planned commits %d, want %d engine commits",
+			snap.ShardFallbacks, snap.TotalCommits())
 	}
 	// The full commit-path ladder: every mutating store commit is exactly
-	// one of key-latched, shard-fallback, or coarse. The environment's
-	// direct Asserts are this workload's only coarse commits.
-	if got := snap.KeyCommits + snap.ShardFallbacks + snap.CoarseCommits; got != snap.StoreCommits {
-		t.Errorf("commit ladder: key %d + fallback %d + coarse %d = %d, want %d store commits",
-			snap.KeyCommits, snap.ShardFallbacks, snap.CoarseCommits, got, snap.StoreCommits)
+	// one of planned or coarse. The environment's direct Asserts are this
+	// workload's only coarse commits.
+	if got := snap.ShardFallbacks + snap.CoarseCommits; got != snap.StoreCommits {
+		t.Errorf("commit ladder: planned %d + coarse %d = %d, want %d store commits",
+			snap.ShardFallbacks, snap.CoarseCommits, got, snap.StoreCommits)
 	}
 	if snap.CoarseCommits != envAsserts {
 		t.Errorf("coarse commits %d, want %d (env asserts only)", snap.CoarseCommits, envAsserts)
@@ -160,19 +158,6 @@ func TestSystemMetricsInvariants(t *testing.T) {
 	if plannedTotal < snap.TotalCommits() {
 		t.Errorf("planned executions %d < engine commits %d (an unplanned commit slipped through)",
 			plannedTotal, snap.TotalCommits())
-	}
-	// Group-commit batches contain only key-mode commits (multi-shard key
-	// commits publish directly), batch sizes are at least one, and every
-	// key commit acquired at least one key latch.
-	if snap.GroupBatch.Sum > snap.KeyCommits {
-		t.Errorf("group-batched commits %d > key commits %d", snap.GroupBatch.Sum, snap.KeyCommits)
-	}
-	if snap.GroupBatch.Sum < snap.GroupBatch.Count {
-		t.Errorf("group batch sum %d < batch count %d (empty batch observed)",
-			snap.GroupBatch.Sum, snap.GroupBatch.Count)
-	}
-	if snap.KeyLockTotal() < snap.KeyCommits {
-		t.Errorf("key-latch acquisitions %d < key commits %d", snap.KeyLockTotal(), snap.KeyCommits)
 	}
 	// This workload is write-only from the engine's perspective (every
 	// query retracts), so the epoch read path must not have engaged.
@@ -205,10 +190,14 @@ func TestSystemMetricsInvariants(t *testing.T) {
 	if after.EpochRebuilds == 0 {
 		t.Error("epoch reads ran but no snapshot was ever rebuilt")
 	}
-	// Lock-free reads commit without key latches or store writes.
-	if after.KeyCommits != snap.KeyCommits || after.StoreCommits != snap.StoreCommits {
-		t.Errorf("read-only epoch phase changed commit counters: key %d->%d store %d->%d",
-			snap.KeyCommits, after.KeyCommits, snap.StoreCommits, after.StoreCommits)
+	// Lock-free reads commit without store writes or write locks.
+	if after.ShardFallbacks != snap.ShardFallbacks || after.StoreCommits != snap.StoreCommits {
+		t.Errorf("read-only epoch phase changed commit counters: planned %d->%d store %d->%d",
+			snap.ShardFallbacks, after.ShardFallbacks, snap.StoreCommits, after.StoreCommits)
+	}
+	_, writesBefore := snap.ShardLockTotals()
+	if _, writesAfter := after.ShardLockTotals(); writesAfter != writesBefore {
+		t.Errorf("read-only epoch phase took %d write locks, want 0", writesAfter-writesBefore)
 	}
 	if got := after.TotalCommits() - snap.TotalCommits(); got != reads {
 		t.Errorf("engine commits grew by %d over the read phase, want %d", got, reads)
@@ -216,9 +205,9 @@ func TestSystemMetricsInvariants(t *testing.T) {
 
 	// Refined admission under a restricted view: a request the compiler's
 	// interprocedural refiner classified Ground, under a plannable
-	// (pure-matcher) view, takes the key-latch path — while the identical
-	// request without the refinement (class Unknown) serializes on the
-	// coarse full-store lock. This is the fast-path widening the refiner
+	// (pure-matcher) view, is planned and locks only its key's shard —
+	// while the identical request without the refinement (class Unknown)
+	// serializes on the coarse full-store lock. This is the fast-path widening the refiner
 	// buys, observed through the admission counters.
 	ctrPat := P(C(Atom("ctr0")), W())
 	restricted := NewView(Union(Pat(ctrPat)), Union(Pat(ctrPat)))
@@ -237,8 +226,8 @@ func TestSystemMetricsInvariants(t *testing.T) {
 		}
 	}
 	mid := sys.Snapshot()
-	if got := mid.KeyCommits - pre.KeyCommits; got != refined {
-		t.Errorf("refined view-restricted phase: key commits grew by %d, want %d", got, refined)
+	if got := mid.ShardFallbacks - pre.ShardFallbacks; got != refined {
+		t.Errorf("refined view-restricted phase: planned commits grew by %d, want %d", got, refined)
 	}
 	if mid.CoarseCommits != pre.CoarseCommits {
 		t.Errorf("refined view-restricted phase took %d coarse commits, want 0",
@@ -263,16 +252,16 @@ func TestSystemMetricsInvariants(t *testing.T) {
 	if got := post.CoarseCommits - mid.CoarseCommits; got != unrefined {
 		t.Errorf("unrefined view-restricted phase: coarse commits grew by %d, want %d", got, unrefined)
 	}
-	if post.KeyCommits != mid.KeyCommits {
-		t.Errorf("unrefined view-restricted phase took %d key commits, want 0",
-			post.KeyCommits-mid.KeyCommits)
+	if post.ShardFallbacks != mid.ShardFallbacks {
+		t.Errorf("unrefined view-restricted phase took %d planned commits, want 0",
+			post.ShardFallbacks-mid.ShardFallbacks)
 	}
 	if got := post.FootprintPlanned["unknown"] - mid.FootprintPlanned["unknown"]; got != 0 {
 		t.Errorf("unknown-class planned admissions grew by %d under a restricted view, want 0", got)
 	}
-	if got := post.KeyCommits + post.ShardFallbacks + post.CoarseCommits; got != post.StoreCommits {
-		t.Errorf("commit ladder after view phases: key %d + fallback %d + coarse %d = %d, want %d",
-			post.KeyCommits, post.ShardFallbacks, post.CoarseCommits, got, post.StoreCommits)
+	if got := post.ShardFallbacks + post.CoarseCommits; got != post.StoreCommits {
+		t.Errorf("commit ladder after view phases: planned %d + coarse %d = %d, want %d",
+			post.ShardFallbacks, post.CoarseCommits, got, post.StoreCommits)
 	}
 
 	// Reactive delta-wakeup accounting: every guard re-evaluation after a

@@ -99,12 +99,6 @@ type StoreOption = dataspace.Option
 // the shards they touch, so disjoint transactions commit in parallel.
 var WithShards = dataspace.WithShards
 
-// WithCommuting enables or disables the commutativity-aware commit path
-// (per-key latches, group commit, epoch reads; on by default). Disabling
-// it demotes every planned commit to shard-level locking — the ablation
-// baseline of experiment E13.
-var WithCommuting = dataspace.WithCommuting
-
 // WithReactive enables or disables delta-driven wakeups (on by default).
 // When on, blocked delayed transactions whose guards are delta-safe
 // re-evaluate only against the tuples each commit changed, and commits

@@ -21,10 +21,6 @@ type Options struct {
 	// controller's seed. Nil (the default) leaves all hook points as
 	// no-ops.
 	Scheduler *SchedController
-	// DisableCommuting turns off the commutativity-aware commit path
-	// (per-key latches, group commit, epoch reads), demoting every planned
-	// commit to shard-level locking. The E13 ablation baseline.
-	DisableCommuting bool
 	// DisableReactive turns off delta-driven wakeups for blocked delayed
 	// transactions and consensus kick suppression: every covering commit
 	// wakes every blocked guard for a full re-query. The E16 ablation
@@ -81,8 +77,7 @@ func New(opts Options) *System {
 // every commit is durable before it becomes visible.
 func Open(opts Options) (*System, error) {
 	store := NewStore(WithShards(opts.Shards), WithScheduler(opts.Scheduler),
-		WithCommuting(!opts.DisableCommuting), WithReactive(!opts.DisableReactive),
-		WithSecondaryIndex(!opts.DisableSecondaryIndex))
+		WithReactive(!opts.DisableReactive), WithSecondaryIndex(!opts.DisableSecondaryIndex))
 	var (
 		wlog     *WAL
 		recovery *WALRecoveryStats
